@@ -1,31 +1,18 @@
 #include "core/embedding_store.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <string_view>
 #include <unordered_set>
 
 #include "base/fileio.h"
+#include "base/wire.h"
 #include "tensor/kernels.h"
 #include "tensor/topk.h"
 
 namespace sdea::core {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'E', 'A', 'E', 'M', 'B', '1'};
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
+constexpr std::string_view kMagic = "SDEAEMB1";
 
 }  // namespace
 
@@ -48,16 +35,12 @@ Result<EmbeddingStore> EmbeddingStore::Create(std::vector<std::string> names,
 }
 
 std::string EmbeddingStore::Encode() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendU64(&out, names_.size());
-  AppendU64(&out, static_cast<uint64_t>(dim()));
-  for (const std::string& name : names_) {
-    AppendU64(&out, name.size());
-    out.append(name);
-  }
-  out.append(reinterpret_cast<const char*>(embeddings_.data()),
-             static_cast<size_t>(embeddings_.size()) * sizeof(float));
+  std::string out(kMagic);
+  wire::Writer w(&out);
+  w.U64(names_.size());
+  w.U64(static_cast<uint64_t>(dim()));
+  for (const std::string& name : names_) w.Str64(name);
+  w.Floats(embeddings_.data(), static_cast<size_t>(embeddings_.size()));
   return out;
 }
 
@@ -67,53 +50,24 @@ Status EmbeddingStore::Save(const std::string& path) const {
   return WriteStringToFileAtomic(path, Encode());
 }
 
-Result<EmbeddingStore> EmbeddingStore::Decode(const std::string& in) {
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
+Result<EmbeddingStore> EmbeddingStore::Decode(const std::string& blob) {
+  wire::Reader r(blob);
+  if (!r.Magic(kMagic)) {
     return Status::InvalidArgument("not an SDEA embedding store");
   }
-  size_t pos = sizeof(kMagic);
-  uint64_t count = 0, dim = 0;
-  if (!ReadU64(in, &pos, &count) || !ReadU64(in, &pos, &dim)) {
-    return Status::InvalidArgument("truncated embedding store header");
-  }
-  // Bound both header fields against what the blob could possibly hold
-  // before allocating anything: each name costs >= 8 bytes, each row
-  // count*dim floats. Without these a corrupt all-ones count either spins
-  // billions of failed reads or throws length_error out of reserve().
-  const uint64_t budget = in.size() - pos;
-  if (count > budget / 8) {
-    return Status::InvalidArgument("embedding store count exceeds blob size");
-  }
-  const uint64_t max_floats = in.size() / sizeof(float);
-  if (count == 0) {
-    // An empty store encodes its real dim with no float payload, so the
-    // payload bound doesn't apply — but the dim must still fit a tensor
-    // shape (a corrupt all-ones dim would wrap negative and abort).
-    if (dim > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      return Status::InvalidArgument("embedding store dim overflows");
-    }
-  } else if (dim > max_floats || dim > max_floats / count) {
-    return Status::InvalidArgument("embedding store dim exceeds blob size");
-  }
+  // Each name costs >= 8 bytes, so Count bounds the reserve below. The
+  // rows are checked as a [count, dim] float block: with count == 0 the
+  // dim still has to fit a tensor shape.
+  const uint64_t count = r.Count(8);
+  const uint64_t dim = r.U64();
   std::vector<std::string> names;
   names.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    if (!ReadU64(in, &pos, &len) || len > in.size() - pos) {
-      return Status::InvalidArgument("truncated embedding store names");
-    }
-    names.push_back(in.substr(pos, len));
-    pos += len;
-  }
-  const size_t bytes = static_cast<size_t>(count * dim) * sizeof(float);
-  if (bytes > in.size() - pos) {
-    return Status::InvalidArgument("truncated embedding store data");
-  }
+  for (uint64_t i = 0; i < count && r.ok(); ++i) names.push_back(r.Str64());
+  const uint64_t floats = r.Elements({count, dim});
+  SDEA_RETURN_IF_ERROR(r.Check("embedding store"));
   Tensor embeddings({static_cast<int64_t>(count), static_cast<int64_t>(dim)});
-  // An empty store (count or dim 0) has a null data(); memcpy forbids
-  // null arguments even for 0 bytes.
-  if (bytes > 0) std::memcpy(embeddings.data(), in.data() + pos, bytes);
+  r.Floats(embeddings.data(), floats);
+  SDEA_RETURN_IF_ERROR(r.End("embedding store"));
   return Create(std::move(names), std::move(embeddings));
 }
 

@@ -21,22 +21,20 @@ namespace sdea::kg {
 ///    attribute rows into chunks of two u32 id columns plus a per-chunk
 ///    value encoding — dictionary (distinct strings + u32 codes) when the
 ///    chunk repeats values enough to pay for it, plain strings otherwise.
-///  * SDEAKGB1 (legacy, written by EncodeBinaryV1): row-interleaved
-///    triples. DecodeBinary still loads it, so files saved before the
-///    columnar store keep working.
+///  * SDEAKGB1 (legacy, no longer written): row-interleaved triples.
+///    DecodeBinary still loads it, so files saved before the columnar
+///    store keep working.
+///
+/// Both are built on base/wire.h (little-endian u32 counts and ids,
+/// u32-length-prefixed strings).
 
 /// Serializes `graph` into the SDEAKGB2 chunked columnar wire format.
 std::string EncodeBinary(const KnowledgeGraph& graph);
 
-/// Serializes `graph` into the legacy SDEAKGB1 row format (kept so tests
-/// can prove the v1 load path still works; new files should use
-/// EncodeBinary).
-std::string EncodeBinaryV1(const KnowledgeGraph& graph);
-
-/// Parses a blob written by EncodeBinary or EncodeBinaryV1, dispatching on
-/// the magic. Robust against arbitrary bytes: returns InvalidArgument
-/// (never crashes, hangs, or over-allocates) on a wrong magic, truncated
-/// sections, counts that exceed what the blob could possibly hold,
+/// Parses an SDEAKGB2 or SDEAKGB1 blob, dispatching on the magic. Robust
+/// against arbitrary bytes: returns InvalidArgument (never crashes, hangs,
+/// or over-allocates) on a wrong magic, truncated sections, trailing
+/// bytes, counts that exceed what the blob could possibly hold,
 /// out-of-range triple ids, malformed chunk headers, dictionary codes past
 /// the dictionary, or duplicate names.
 Result<KnowledgeGraph> DecodeBinary(const std::string& data);

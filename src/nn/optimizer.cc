@@ -2,38 +2,36 @@
 
 #include <cmath>
 
-#include "nn/serialization.h"
+#include "base/wire.h"
 
 namespace sdea::nn {
 namespace {
 
 // Shared (de)serialization of one slot-tensor list (velocity, m, v): a
-// count followed by the tensors. Shapes must match the parameter list.
-void AppendSlots(std::string* out, const std::vector<Tensor>& slots) {
-  AppendU64(out, slots.size());
-  for (const Tensor& t : slots) AppendTensor(out, t);
+// count followed by one tensor record per parameter.
+void AppendSlots(wire::Writer* w, const std::vector<Tensor>& slots) {
+  w->U64(slots.size());
+  for (const Tensor& t : slots) {
+    w->Shape(t.shape());
+    w->Floats(t.data(), static_cast<size_t>(t.size()));
+  }
 }
 
-Status ReadSlots(const std::string& in, size_t* pos, size_t expected,
-                 std::vector<Tensor>* slots) {
-  uint64_t count = 0;
-  if (!ReadU64(in, pos, &count) || count != expected) {
+/// Reads a slot list into `slots`, whose count and shapes are the ones the
+/// blob must match. Callers pass staged copies, so a failed read never
+/// reaches the live optimizer state.
+Status ReadSlots(wire::Reader* r, std::vector<Tensor>* slots) {
+  if (r->U64() != slots->size()) {
     return Status::InvalidArgument("optimizer state: slot count mismatch");
   }
-  std::vector<Tensor> loaded;
-  loaded.reserve(expected);
-  for (size_t k = 0; k < expected; ++k) {
-    Tensor t;
-    if (!ReadTensor(in, pos, &t)) {
-      return Status::InvalidArgument("optimizer state: truncated slot");
-    }
-    if (t.shape() != (*slots)[k].shape()) {
+  for (Tensor& t : *slots) {
+    uint64_t elements = 0;
+    if (r->Shape(&elements) != t.shape()) {
       return Status::InvalidArgument("optimizer state: slot shape mismatch");
     }
-    loaded.push_back(std::move(t));
+    r->Floats(t.data(), elements);
   }
-  *slots = std::move(loaded);
-  return Status::Ok();
+  return r->Check("optimizer state");
 }
 
 }  // namespace
@@ -85,11 +83,17 @@ void Sgd::Step() {
 }
 
 void Sgd::SerializeState(std::string* out) const {
-  AppendSlots(out, velocity_);
+  wire::Writer w(out);
+  AppendSlots(&w, velocity_);
 }
 
-Status Sgd::DeserializeState(const std::string& in, size_t* pos) {
-  return ReadSlots(in, pos, velocity_.size(), &velocity_);
+Status Sgd::DeserializeState(std::string_view state) {
+  wire::Reader r(state);
+  std::vector<Tensor> velocity = velocity_;
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, &velocity));
+  SDEA_RETURN_IF_ERROR(r.End("optimizer state"));
+  velocity_ = std::move(velocity);
+  return Status::Ok();
 }
 
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
@@ -130,24 +134,24 @@ void Adam::Step() {
 }
 
 void Adam::SerializeState(std::string* out) const {
-  AppendU64(out, static_cast<uint64_t>(t_));
-  AppendSlots(out, m_);
-  AppendSlots(out, v_);
+  wire::Writer w(out);
+  w.U64(static_cast<uint64_t>(t_));
+  AppendSlots(&w, m_);
+  AppendSlots(&w, v_);
 }
 
-Status Adam::DeserializeState(const std::string& in, size_t* pos) {
-  uint64_t t = 0;
-  if (!ReadU64(in, pos, &t)) {
-    return Status::InvalidArgument("optimizer state: truncated step counter");
-  }
-  // Stage into copies so a truncated blob leaves this optimizer untouched.
+Status Adam::DeserializeState(std::string_view state) {
+  wire::Reader r(state);
+  const int64_t t = r.I64();
+  // Stage into copies so a bad blob leaves this optimizer untouched.
   std::vector<Tensor> m = m_;
   std::vector<Tensor> v = v_;
-  SDEA_RETURN_IF_ERROR(ReadSlots(in, pos, m.size(), &m));
-  SDEA_RETURN_IF_ERROR(ReadSlots(in, pos, v.size(), &v));
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, &m));
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, &v));
+  SDEA_RETURN_IF_ERROR(r.End("optimizer state"));
   m_ = std::move(m);
   v_ = std::move(v);
-  t_ = static_cast<int64_t>(t);
+  t_ = t;
   return Status::Ok();
 }
 

@@ -8,46 +8,18 @@
 
 namespace sdea::nn {
 
-// ---- Wire helpers ---------------------------------------------------------
-// Little building blocks of the checkpoint format, shared by parameter
-// blobs, optimizer state, and the train::CheckpointManager envelope.
-
-/// Appends a little-endian u64.
-void AppendU64(std::string* out, uint64_t v);
-
-/// Reads a u64 written by AppendU64; false on truncation.
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v);
-
-/// Appends an IEEE-754 double, byte-identical round trip.
-void AppendF64(std::string* out, double v);
-
-/// Reads a double written by AppendF64; false on truncation.
-bool ReadF64(const std::string& in, size_t* pos, double* v);
-
-/// Appends a length-prefixed byte string.
-void AppendBytes(std::string* out, const std::string& bytes);
-
-/// Reads a byte string written by AppendBytes; false on truncation.
-bool ReadBytes(const std::string& in, size_t* pos, std::string* bytes);
-
-/// Appends shape + float32 data; round-trips tensors bitwise.
-void AppendTensor(std::string* out, const Tensor& t);
-
-/// Reads a tensor written by AppendTensor; false on truncation/bad rank.
-bool ReadTensor(const std::string& in, size_t* pos, Tensor* t);
-
-// ---- Parameter blobs ------------------------------------------------------
-
-/// Serializes all parameters of `module` into the binary checkpoint blob:
-/// magic, count, then per parameter: name, shape, float32 data.
+/// Serializes all parameters of `module` into the SDEACKP1 blob: magic, u64
+/// count, then per parameter a u64-length name, the shape and the float32
+/// data (base/wire.h encoding).
 std::string SerializeParameters(Module* module);
 
 /// Restores parameters by name from a blob written by SerializeParameters.
 /// The whole blob is validated against the module *before* any parameter is
 /// touched, so a failed load never leaves the module partially overwritten:
 /// a parameter name absent from the blob or present with a mismatched shape
-/// yields InvalidArgument and the module keeps its previous values. Extra
-/// entries in the blob are ignored (forward compatibility).
+/// yields InvalidArgument and the module keeps its previous values, as do
+/// truncation and trailing bytes. Extra entries in the blob are ignored
+/// (forward compatibility).
 Status DeserializeParameters(Module* module, const std::string& blob);
 
 /// Writes SerializeParameters(module) to a file at `path` atomically

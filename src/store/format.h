@@ -17,7 +17,7 @@ namespace sdea::store {
 ///
 /// Shard files are built for mmap: a fixed 4096-byte header page, then
 /// page-aligned code and fp32 regions so a query touches only the pages
-/// it scans. All integers are little-endian u64 (store/wire.h); every
+/// it scans. All integers are little-endian u64 (base/wire.h); every
 /// decoder honours the DESIGN.md §8 contract — arbitrary bytes produce
 /// ok() or InvalidArgument, never a crash, hang, or unbounded allocation.
 

@@ -8,9 +8,9 @@
 
 #include "base/check.h"
 #include "base/fileio.h"
+#include "base/wire.h"
 #include "obs/registry.h"
 #include "store/adc.h"
-#include "store/wire.h"
 #include "tensor/kernels.h"
 #include "tensor/topk.h"
 

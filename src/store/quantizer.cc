@@ -5,19 +5,20 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "base/check.h"
 #include "base/rng.h"
 #include "base/threadpool.h"
+#include "base/wire.h"
 #include "core/ann_index.h"
-#include "store/wire.h"
 #include "tensor/kernels.h"
 
 namespace sdea::store {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'E', 'A', 'C', 'B', 'K', '1'};
+constexpr std::string_view kMagic = "SDEACBK1";
 
 }  // namespace
 
@@ -225,32 +226,26 @@ void Codebook::DecodeRow(const uint8_t* code, float* out) const {
 }
 
 std::string Codebook::Encode() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  wire::AppendU64(&out, static_cast<uint64_t>(kind_));
-  wire::AppendU64(&out, static_cast<uint64_t>(dim_));
+  std::string out(kMagic);
+  wire::Writer w(&out);
+  w.U64(static_cast<uint64_t>(kind_));
+  w.U64(static_cast<uint64_t>(dim_));
   if (kind_ == Quantization::kInt8) {
-    out.append(reinterpret_cast<const char*>(scales_.data()),
-               scales_.size() * sizeof(float));
+    w.Floats(scales_.data(), scales_.size());
   } else {
-    wire::AppendU64(&out, static_cast<uint64_t>(pq_m_));
-    wire::AppendU64(&out, static_cast<uint64_t>(pq_k_));
-    out.append(reinterpret_cast<const char*>(centroids_.data()),
-               static_cast<size_t>(centroids_.size()) * sizeof(float));
+    w.U64(static_cast<uint64_t>(pq_m_));
+    w.U64(static_cast<uint64_t>(pq_k_));
+    w.Floats(centroids_.data(), static_cast<size_t>(centroids_.size()));
   }
   return out;
 }
 
-Result<Codebook> Codebook::Decode(const std::string& in) {
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an SDEA codebook");
-  }
-  size_t pos = sizeof(kMagic);
-  uint64_t kind = 0, dim = 0;
-  if (!wire::ReadU64(in, &pos, &kind) || !wire::ReadU64(in, &pos, &dim)) {
-    return Status::InvalidArgument("truncated codebook header");
-  }
+Result<Codebook> Codebook::Decode(const std::string& blob) {
+  wire::Reader r(blob);
+  if (!r.Magic(kMagic)) return Status::InvalidArgument("not an SDEA codebook");
+  const uint64_t kind = r.U64();
+  const uint64_t dim = r.U64();
+  SDEA_RETURN_IF_ERROR(r.Check("codebook header"));
   if (kind != static_cast<uint64_t>(Quantization::kInt8) &&
       kind != static_cast<uint64_t>(Quantization::kPq)) {
     return Status::InvalidArgument("unknown codebook quantization kind");
@@ -259,17 +254,13 @@ Result<Codebook> Codebook::Decode(const std::string& in) {
   cb.kind_ = static_cast<Quantization>(kind);
 
   if (cb.kind_ == Quantization::kInt8) {
-    // Payload is dim floats; bound dim against the remaining bytes before
-    // allocating (a corrupt all-ones dim must not reach resize()).
-    if (dim > (in.size() - pos) / sizeof(float)) {
-      return Status::InvalidArgument("codebook scales exceed blob size");
-    }
+    // Payload is dim floats, bounded before the resize.
+    const uint64_t n = r.Elements({dim});
+    SDEA_RETURN_IF_ERROR(r.Check("codebook scales"));
     cb.dim_ = static_cast<int64_t>(dim);
-    cb.scales_.resize(static_cast<size_t>(dim));
-    if (dim > 0) {
-      std::memcpy(cb.scales_.data(), in.data() + pos,
-                  static_cast<size_t>(dim) * sizeof(float));
-    }
+    cb.scales_.resize(static_cast<size_t>(n));
+    r.Floats(cb.scales_.data(), n);
+    SDEA_RETURN_IF_ERROR(r.End("codebook scales"));
     for (float s : cb.scales_) {
       if (!(s > 0.0f) || !std::isfinite(s)) {
         return Status::InvalidArgument("codebook scales must be positive");
@@ -278,32 +269,25 @@ Result<Codebook> Codebook::Decode(const std::string& in) {
     return cb;
   }
 
-  uint64_t m = 0, k = 0;
-  if (!wire::ReadU64(in, &pos, &m) || !wire::ReadU64(in, &pos, &k)) {
-    return Status::InvalidArgument("truncated PQ codebook header");
-  }
-  // dim bounded first so every later product stays far from overflow:
-  // the centroid payload is exactly k * dim floats (m * k centroids of
-  // dim/m components each), k <= 256.
-  const uint64_t max_floats = (in.size() - pos) / sizeof(float);
-  if (dim == 0 || dim > max_floats) {
-    return Status::InvalidArgument("PQ codebook dim exceeds blob size");
-  }
-  if (m == 0 || m > dim || dim % m != 0) {
+  const uint64_t m = r.U64();
+  const uint64_t k = r.U64();
+  SDEA_RETURN_IF_ERROR(r.Check("PQ codebook header"));
+  if (dim == 0 || m == 0 || m > dim || dim % m != 0) {
     return Status::InvalidArgument("PQ subspaces must divide dim");
   }
   if (k == 0 || k > 256) {
     return Status::InvalidArgument("PQ centroid count must be in [1, 256]");
   }
-  if (k * dim > max_floats) {
-    return Status::InvalidArgument("PQ centroids exceed blob size");
-  }
+  // The centroid payload is exactly k * dim floats (m * k centroids of
+  // dim/m components each); bounding it also bounds m * k <= k * dim.
+  const uint64_t n = r.Elements({k, dim});
+  SDEA_RETURN_IF_ERROR(r.Check("PQ codebook centroids"));
   cb.dim_ = static_cast<int64_t>(dim);
   cb.pq_m_ = static_cast<int64_t>(m);
   cb.pq_k_ = static_cast<int64_t>(k);
   cb.centroids_ = Tensor({cb.pq_m_ * cb.pq_k_, cb.dim_ / cb.pq_m_});
-  std::memcpy(cb.centroids_.data(), in.data() + pos,
-              static_cast<size_t>(k * dim) * sizeof(float));
+  r.Floats(cb.centroids_.data(), n);
+  SDEA_RETURN_IF_ERROR(r.End("PQ codebook centroids"));
   for (int64_t i = 0; i < cb.centroids_.size(); ++i) {
     if (!std::isfinite(cb.centroids_.data()[i])) {
       return Status::InvalidArgument("PQ centroids must be finite");

@@ -114,9 +114,20 @@ TrainerCheckpoint Trainer::MakeCheckpoint(int64_t next_epoch,
 }
 
 Status Trainer::ApplyCheckpoint(const TrainerCheckpoint& ckpt) {
-  if (ckpt.order.size() != task_->num_examples()) {
+  const size_t n = task_->num_examples();
+  if (ckpt.order.size() != n) {
     return Status::InvalidArgument(
         "checkpoint order size does not match the task's example count");
+  }
+  // TrainBatch indexes the task's examples by these ids, so anything but
+  // a permutation of [0, n) would read out of range or skip examples.
+  std::vector<bool> seen(n, false);
+  for (uint64_t id : ckpt.order) {
+    if (id >= n || seen[id]) {
+      return Status::InvalidArgument(
+          "checkpoint order is not a permutation of the task's examples");
+    }
+    seen[id] = true;
   }
   // Validate-before-mutate: the parameter blobs are checked against the
   // module before anything is touched, so a stale checkpoint from a
@@ -124,9 +135,7 @@ Status Trainer::ApplyCheckpoint(const TrainerCheckpoint& ckpt) {
   SDEA_RETURN_IF_ERROR(
       nn::DeserializeParameters(task_->module(), ckpt.params));
   if (task_->optimizer() != nullptr && !ckpt.optimizer.empty()) {
-    size_t pos = 0;
-    SDEA_RETURN_IF_ERROR(
-        task_->optimizer()->DeserializeState(ckpt.optimizer, &pos));
+    SDEA_RETURN_IF_ERROR(task_->optimizer()->DeserializeState(ckpt.optimizer));
   }
   task_->rng()->LoadState(ckpt.rng);
   order_ = ckpt.order;

@@ -47,6 +47,8 @@ TEST(CheckpointFuzzTest, ValidBlobRoundTrips) {
   EXPECT_EQ(decoded->metric_history, ckpt.metric_history);
   EXPECT_EQ(decoded->order, ckpt.order);
   EXPECT_EQ(decoded->params, ckpt.params);
+  EXPECT_EQ(CheckpointManager::Decode(blob + '\0').status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointFuzzTest, TruncationAtEveryOffset) {

@@ -40,6 +40,8 @@ TEST(EmbeddingStoreFuzzTest, ValidBlobDecodes) {
   EXPECT_EQ(decoded->size(), store.size());
   EXPECT_EQ(decoded->dim(), store.dim());
   EXPECT_EQ(decoded->names(), store.names());
+  EXPECT_EQ(EmbeddingStore::Decode(blob + '\0').status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EmbeddingStoreFuzzTest, TruncationAtEveryOffset) {

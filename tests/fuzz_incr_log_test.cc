@@ -35,6 +35,8 @@ sdea::testing::DecodeFn Decoder() {
 
 TEST(IncrLogFuzzTest, ValidBlobDecodes) {
   EXPECT_TRUE(DecodeUpdateLog(ValidBlob()).ok());
+  EXPECT_EQ(DecodeUpdateLog(ValidBlob() + '\0').status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(IncrLogFuzzTest, TruncationAtEveryOffset) {

@@ -9,7 +9,9 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "base/wire.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "testing/fuzz.h"
@@ -35,8 +37,11 @@ std::string SampleParamsBlob() {
 }
 
 TEST(NnSerializationFuzzTest, ValidBlobDecodes) {
-  const Status s = ParamsDecoder()(SampleParamsBlob());
+  const std::string blob = SampleParamsBlob();
+  const Status s = ParamsDecoder()(blob);
   EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(ParamsDecoder()(blob + '\0').code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(NnSerializationFuzzTest, TruncationAtEveryOffset) {
@@ -71,23 +76,21 @@ TEST(NnSerializationFuzzTest, HugeEntryCountRejectsInConstantTime) {
 }
 
 TEST(NnSerializationFuzzTest, EvilTensorDimRejectsNotAborts) {
-  // A hand-built tensor record whose single dim is 2^63: the u64→int64
-  // cast used to produce a negative dimension and trip the SDEA_CHECK in
-  // the Tensor constructor. ReadTensor must refuse instead.
-  std::string rec;
-  AppendU64(&rec, 1);                    // rank
-  AppendU64(&rec, uint64_t{1} << 63);    // dim
-  size_t pos = 0;
-  Tensor t;
-  EXPECT_FALSE(ReadTensor(rec, &pos, &t));
-
-  // And a rank-2 record whose dims multiply past int64: 2^32 x 2^32.
-  std::string rec2;
-  AppendU64(&rec2, 2);
-  AppendU64(&rec2, uint64_t{1} << 32);
-  AppendU64(&rec2, uint64_t{1} << 32);
-  pos = 0;
-  EXPECT_FALSE(ReadTensor(rec2, &pos, &t));
+  // Hand-built one-entry blobs whose shape would overflow: a single dim of
+  // 2^63 (the u64→int64 cast used to produce a negative dimension and trip
+  // the SDEA_CHECK in the Tensor constructor), and 2^32 x 2^32, whose
+  // product wraps int64. Both must be refused, never reach Tensor.
+  for (const std::vector<uint64_t>& dims :
+       {std::vector<uint64_t>{uint64_t{1} << 63},
+        std::vector<uint64_t>{uint64_t{1} << 32, uint64_t{1} << 32}}) {
+    std::string blob = "SDEACKP1";
+    wire::Writer w(&blob);
+    w.U64(1);  // entries
+    w.Str64("w");
+    w.U64(dims.size());  // rank
+    for (uint64_t d : dims) w.U64(d);
+    EXPECT_EQ(ParamsDecoder()(blob).code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---- Adam optimizer state ------------------------------------------------
@@ -104,14 +107,10 @@ TEST(NnSerializationFuzzTest, AdamStateSeededMutations) {
     Rng r(12);
     Mlp m("m", {4, 6, 2}, Activation::kRelu, &r);
     Adam a(m.Parameters(), 0.01f);
-    size_t pos = 0;
-    Status s = a.DeserializeState(b, &pos);
-    if (s.ok() && pos != b.size()) {
-      return Status::InvalidArgument("optimizer state has trailing bytes");
-    }
-    return s;
+    return a.DeserializeState(b);
   };
   EXPECT_TRUE(decode(blob).ok());
+  EXPECT_EQ(decode(blob + '\0').code(), StatusCode::kInvalidArgument);
 
   sdea::testing::FuzzOptions options;
   options.iterations = 2000;

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -86,6 +87,14 @@ TEST(StoreFuzzTest, ValidBlobsDecode) {
   EXPECT_TRUE(Codebook::Decode(PqCodebookBlob()).ok());
   EXPECT_TRUE(DecodeManifest(ManifestBlob()).ok());
   EXPECT_TRUE(DecodeShardBlob(ShardBlob()).ok());
+  // One junk byte past a valid blob is corruption, not ignorable slack.
+  for (const auto& [blob, decode] :
+       {std::pair{Int8CodebookBlob(), CodebookDecoder()},
+        std::pair{PqCodebookBlob(), CodebookDecoder()},
+        std::pair{ManifestBlob(), ManifestDecoder()},
+        std::pair{ShardBlob(), ShardDecoder()}}) {
+    EXPECT_EQ(decode(blob + '\0').code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(StoreFuzzTest, CodebookTruncationAtEveryOffset) {

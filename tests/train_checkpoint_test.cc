@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,6 +133,16 @@ TEST(CheckpointTest, DecodeRejectsCorruptBlobs) {
   // Trailing garbage.
   EXPECT_EQ(CheckpointManager::Decode(blob + "x").status().code(),
             StatusCode::kInvalidArgument);
+  // Epoch counters above INT64_MAX would read back as negative epochs.
+  // next_epoch, epochs_run and since_best sit at offsets 8, 16 and 32.
+  for (const size_t offset : {8, 16, 32}) {
+    std::string evil = blob;
+    const uint64_t too_big = uint64_t{1} << 63;
+    std::memcpy(evil.data() + offset, &too_big, 8);
+    EXPECT_EQ(CheckpointManager::Decode(evil).status().code(),
+              StatusCode::kInvalidArgument)
+        << "offset " << offset;
+  }
 }
 
 TEST(CheckpointTest, LoadMissingFileFailsWithPath) {
@@ -245,6 +256,35 @@ TEST(CheckpointTest, ResumeValidatesBeforeMutating) {
   EXPECT_EQ(Trainer(&task, opts).Run().status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(nn::SerializeParameters(&task.net_), before);
+}
+
+TEST(CheckpointTest, ResumeRejectsOrderThatIsNotAPermutation) {
+  // The order has the right size, but one id equals the example count:
+  // TrainBatch would index past the task's examples. A repeated id is
+  // rejected the same way. The checkpoint's parameters differ from the
+  // task's, so a rejection that came after the parameter load would show.
+  WalkNet donor;
+  donor.w->value[0] = 1.5f;
+  for (const std::vector<uint64_t>& order :
+       {std::vector<uint64_t>{0, 1, 2, 3, 4, 6},
+        std::vector<uint64_t>{0, 1, 2, 3, 4, 4}}) {
+    const std::string path = TempPath("sdea_ckpt_bad_order.ckpt");
+    WalkTask task(/*seed=*/3);
+    const std::string before = nn::SerializeParameters(&task.net_);
+    TrainerCheckpoint ckpt;
+    ckpt.next_epoch = 1;
+    ckpt.order = order;
+    ckpt.rng = task.rng()->SaveState();
+    ckpt.params = nn::SerializeParameters(&donor);
+    CheckpointManager mgr(path);
+    ASSERT_TRUE(mgr.Save(ckpt).ok());
+    TrainerOptions opts = WalkOptions();
+    opts.checkpoint = &mgr;
+    EXPECT_EQ(Trainer(&task, opts).Run().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(nn::SerializeParameters(&task.net_), before);
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
