@@ -88,8 +88,10 @@ void BM_Matmul512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_Matmul512, exact, KernelMode::kExact,
+BENCHMARK_CAPTURE(BM_Matmul512, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_Matmul512, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2);
 BENCHMARK_CAPTURE(BM_Matmul512, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar);
 BENCHMARK_CAPTURE(BM_Matmul512, fast_avx2, KernelMode::kFast,
@@ -109,12 +111,40 @@ void BM_ScoreMatrix512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact, KernelMode::kExact,
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2);
 BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar);
 BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_avx2, KernelMode::kFast,
                   SimdLevel::kAvx2);
+
+void BM_EncoderMatmul(benchmark::State& state, KernelMode mode,
+                      SimdLevel level) {
+  // The shapes the SDEA fit spends its time on: args {m, k, n}. {32, 32,
+  // 64} is the transformer feed-forward over a 32-token sequence, {1, 32,
+  // 32} one GRU step of the relation module.
+  if (SkipUnsupported(state, level)) return;
+  ScopedVariant variant(mode, level);
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(23);
+  Tensor a = Tensor::RandomNormal({m, k}, 1.0f, &rng);
+  Tensor b = Tensor::RandomNormal({k, n}, 1.0f, &rng);
+  for (auto _ : state) {
+    Tensor c = tmath::Matmul(a, b);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK_CAPTURE(BM_EncoderMatmul, exact_scalar, KernelMode::kExact,
+                  SimdLevel::kScalar)
+    ->Args({32, 32, 64})
+    ->Args({1, 32, 32});
+BENCHMARK_CAPTURE(BM_EncoderMatmul, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2)
+    ->Args({32, 32, 64})
+    ->Args({1, 32, 32});
 
 void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
   // One query against `rows` stored 512-dim rows — the per-request shape

@@ -113,11 +113,6 @@ int ThreadPool::DefaultNumThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ParallelFor(int64_t n, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
-  ThreadPool::Global()->ParallelFor(n, grain, fn);
-}
-
 int64_t GrainForWork(int64_t items, int64_t work_per_item) {
   constexpr int64_t kOpsPerChunk = 1 << 15;
   const int64_t grain = kOpsPerChunk / std::max<int64_t>(1, work_per_item) + 1;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace sdea::base {
@@ -84,9 +85,20 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// ParallelFor on the global pool.
-void ParallelFor(int64_t n, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+/// ParallelFor on the global pool. A range of at most `grain` indices runs
+/// inline on the calling thread before any std::function is built or the
+/// global pool's mutex is taken, so small kernels (a [1 x 32] GRU step)
+/// pay nothing for the pool.
+template <typename Fn>
+void ParallelFor(int64_t n, int64_t grain, Fn&& fn) {
+  if (n <= 0) return;
+  if (n <= grain) {
+    fn(int64_t{0}, n);
+    return;
+  }
+  ThreadPool::Global()->ParallelFor(
+      n, grain, std::function<void(int64_t, int64_t)>(std::forward<Fn>(fn)));
+}
 
 /// Suggests a grain for `items` units of `work_per_item` scalar operations
 /// each, sized so one chunk amortizes scheduling overhead (~32k operations).

@@ -149,7 +149,7 @@ Tensor RelationEmbeddingModule::ComputeEntityEmbeddings(
   SDEA_CHECK_EQ(ha_side.dim(0), n);
   Tensor out({n, entity_embedding_dim()});
   for (kg::EntityId e = 0; e < n; ++e) {
-    Graph g;
+    Graph g(GradMode::kNoGrad);
     NodeId hr, hm;
     ForwardEntity(&g, side, e, ha_side, &hr, &hm);
     const Tensor& hr_v = g.Value(hr);

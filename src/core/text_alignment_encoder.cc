@@ -115,7 +115,7 @@ Tensor TextAlignmentEncoder::ComputeAllEmbeddings(int side) const {
   const int64_t n = num_entities(side);
   Tensor out({n, config_.out_dim});
   for (int64_t e = 0; e < n; ++e) {
-    Graph g;
+    Graph g(GradMode::kNoGrad);
     NodeId node = EncodeEntity(&g, side, static_cast<kg::EntityId>(e),
                                /*training=*/false, /*rng=*/nullptr);
     out.SetRow(e, g.Value(node).Row(0));
@@ -202,7 +202,10 @@ namespace {
 /// modulo reproduces the same example array. Candidates are refreshed from
 /// scratch each epoch (lines 2-4) in OnEpochBegin, which draws no
 /// randomness and therefore leaves the shared RNG stream identical to the
-/// historical loop's.
+/// historical loop's. The embeddings EvalMetric computes at the end of
+/// epoch t are the ones OnEpochBegin of epoch t+1 needs, so they are kept
+/// and reused as long as no batch has stepped the optimizer and the Trainer
+/// has loaded no parameters since.
 class TextPretrainTask : public train::TrainTask {
  public:
   TextPretrainTask(TextAlignmentEncoder* encoder, nn::Adam* optimizer,
@@ -219,11 +222,12 @@ class TextPretrainTask : public train::TrainTask {
 
   // Algorithm 2 lines 2-4: fresh embeddings and candidates per epoch.
   void OnEpochBegin(int64_t /*epoch*/) override {
-    const Tensor ha1 = encoder_->ComputeAllEmbeddings(1);
-    const Tensor ha2 = encoder_->ComputeAllEmbeddings(2);
-    candidates_ =
-        GenerateCandidates(ha1, ha2, encoder_->config().num_candidates);
+    RefreshEmbeddings();
+    candidates_ = GenerateCandidates(embeddings_[0], embeddings_[1],
+                                     encoder_->config().num_candidates);
   }
+
+  void OnParametersLoaded() override { embeddings_current_ = false; }
 
   // Lines 5-10: margin-loss updates over the shuffled training pairs.
   float TrainBatch(const uint64_t* ids, size_t n) override {
@@ -265,6 +269,7 @@ class TextPretrainTask : public train::TrainTask {
     g.Backward(loss);
     optimizer_->ClipGradNorm(config.grad_clip);
     optimizer_->Step();
+    embeddings_current_ = false;
     return g.Value(loss).data()[0];
   }
 
@@ -272,8 +277,9 @@ class TextPretrainTask : public train::TrainTask {
   // the historical loop, which then effectively stops after `patience`).
   double EvalMetric() override {
     if (seeds_->valid.empty()) return 0.0;
-    const Tensor va1 = encoder_->ComputeAllEmbeddings(1);
-    const Tensor va2 = encoder_->ComputeAllEmbeddings(2);
+    RefreshEmbeddings();
+    const Tensor& va1 = embeddings_[0];
+    const Tensor& va2 = embeddings_[1];
     Tensor valid_src({static_cast<int64_t>(seeds_->valid.size()),
                       encoder_->config().out_dim});
     std::vector<int64_t> gold;
@@ -287,11 +293,22 @@ class TextPretrainTask : public train::TrainTask {
   }
 
  private:
+  // Makes embeddings_ hold both sides' embeddings under the current
+  // parameters, recomputing only when they may have changed.
+  void RefreshEmbeddings() {
+    if (embeddings_current_) return;
+    embeddings_[0] = encoder_->ComputeAllEmbeddings(1);
+    embeddings_[1] = encoder_->ComputeAllEmbeddings(2);
+    embeddings_current_ = true;
+  }
+
   TextAlignmentEncoder* encoder_;
   nn::Adam* optimizer_;
   const kg::AlignmentSeeds* seeds_;
   Rng* rng_;
   std::vector<std::vector<int64_t>> candidates_;
+  Tensor embeddings_[2];
+  bool embeddings_current_ = false;
 };
 
 }  // namespace

@@ -12,22 +12,11 @@ namespace {
 
 constexpr std::string_view kMagic = "SDEACKP1";
 
-}  // namespace
-
-std::string SerializeParameters(Module* module) {
-  std::vector<Parameter*> params = module->Parameters();
-  std::string out(kMagic);
-  wire::Writer w(&out);
-  w.U64(params.size());
-  for (Parameter* p : params) {
-    w.Str64(p->name);
-    w.Shape(p->value.shape());
-    w.Floats(p->value.data(), static_cast<size_t>(p->value.size()));
-  }
-  return out;
-}
-
-Status DeserializeParameters(Module* module, const std::string& blob) {
+// Parses the blob and validates every module parameter against it, so a
+// bad checkpoint is rejected before any copy. On success `data` holds each
+// parameter's float bytes, in module->Parameters() order.
+Status ParseAndValidate(Module* module, const std::string& blob,
+                        std::vector<std::string_view>* data) {
   wire::Reader r(blob);
   if (!r.Magic(kMagic)) {
     return Status::InvalidArgument("not an SDEA parameter checkpoint");
@@ -49,10 +38,8 @@ Status DeserializeParameters(Module* module, const std::string& blob) {
     entries[std::move(name)] = std::move(e);
   }
   SDEA_RETURN_IF_ERROR(r.End("parameter checkpoint"));
-  // Pass 2: validate every module parameter against the blob before any
-  // copy, so a bad checkpoint cannot leave the module half-loaded.
-  std::vector<Parameter*> params = module->Parameters();
-  for (Parameter* p : params) {
+  // Pass 2: validate every module parameter against the blob.
+  for (Parameter* p : module->Parameters()) {
     auto it = entries.find(p->name);
     if (it == entries.end()) {
       return Status::InvalidArgument(
@@ -64,13 +51,41 @@ Status DeserializeParameters(Module* module, const std::string& blob) {
           "checkpoint shape mismatch for parameter '" + p->name +
           "'; no parameters were modified");
     }
-  }
-  // Pass 3: all-or-nothing copy.
-  for (Parameter* p : params) {
-    const std::string_view data = entries.find(p->name)->second.data;
-    if (!data.empty()) std::memcpy(p->value.data(), data.data(), data.size());
+    if (data != nullptr) data->push_back(it->second.data);
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+std::string SerializeParameters(Module* module) {
+  std::vector<Parameter*> params = module->Parameters();
+  std::string out(kMagic);
+  wire::Writer w(&out);
+  w.U64(params.size());
+  for (Parameter* p : params) {
+    w.Str64(p->name);
+    w.Shape(p->value.shape());
+    w.Floats(p->value.data(), static_cast<size_t>(p->value.size()));
+  }
+  return out;
+}
+
+Status DeserializeParameters(Module* module, const std::string& blob) {
+  std::vector<std::string_view> data;
+  SDEA_RETURN_IF_ERROR(ParseAndValidate(module, blob, &data));
+  // All-or-nothing copy: nothing is written unless every entry validated.
+  std::vector<Parameter*> params = module->Parameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (!data[i].empty()) {
+      std::memcpy(params[i]->value.data(), data[i].data(), data[i].size());
+    }
+  }
+  return Status::Ok();
+}
+
+Status CheckParameters(Module* module, const std::string& blob) {
+  return ParseAndValidate(module, blob, nullptr);
 }
 
 Status SaveCheckpoint(Module* module, const std::string& path) {

@@ -22,6 +22,11 @@ std::string SerializeParameters(Module* module);
 /// (forward compatibility).
 Status DeserializeParameters(Module* module, const std::string& blob);
 
+/// Runs every check DeserializeParameters runs, and touches nothing: Ok
+/// exactly when DeserializeParameters(module, blob) would succeed. Lets a
+/// caller that restores several pieces of state validate them all first.
+Status CheckParameters(Module* module, const std::string& blob);
+
 /// Writes SerializeParameters(module) to a file at `path` atomically
 /// (temp file + rename): a crash mid-save leaves any previous checkpoint
 /// intact, never a torn one.

@@ -4,10 +4,13 @@
 
 namespace sdea {
 
-NodeId Graph::AddNode(Tensor value, bool requires_grad,
-                      std::function<void(Graph*)> backward) {
-  nodes_.push_back(Node{std::move(value), Tensor(), requires_grad,
-                        requires_grad ? std::move(backward) : nullptr});
+template <typename Fn>
+NodeId Graph::AddNode(Tensor value, bool requires_grad, Fn&& backward) {
+  Node n;
+  n.value = std::move(value);
+  n.requires_grad = requires_grad && mode_ == GradMode::kRecord;
+  if (n.requires_grad) n.backward = std::forward<Fn>(backward);
+  nodes_.push_back(std::move(n));
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -29,11 +32,15 @@ Tensor& Graph::MutableGrad(NodeId id) {
   return n.grad;
 }
 
-const Tensor& Graph::Value(NodeId id) const { return node(id).value; }
+const Tensor& Graph::Value(NodeId id) const {
+  const Node& n = node(id);
+  return n.ref != nullptr ? *n.ref : n.value;
+}
 
 const Tensor& Graph::Grad(NodeId id) const { return node(id).grad; }
 
 void Graph::Backward(NodeId loss) {
+  SDEA_CHECK_MSG(mode_ == GradMode::kRecord, "Backward on a no-grad Graph");
   SDEA_CHECK_EQ(node(loss).value.size(), 1);
   MutableGrad(loss).Fill(1.0f);
   for (NodeId id = loss; id >= 0; --id) {
@@ -50,6 +57,11 @@ NodeId Graph::Input(Tensor value) {
 
 NodeId Graph::Param(Parameter* p) {
   SDEA_CHECK(p != nullptr);
+  if (mode_ == GradMode::kNoGrad) {
+    nodes_.push_back(Node{});
+    nodes_.back().ref = &p->value;
+    return static_cast<NodeId>(nodes_.size() - 1);
+  }
   Tensor value = p->value;  // Snapshot for this step.
   NodeId id = static_cast<NodeId>(nodes_.size());
   return AddNode(std::move(value), /*requires_grad=*/true, [id, p](Graph* g) {

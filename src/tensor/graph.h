@@ -39,9 +39,18 @@ using NodeId = int32_t;
 ///
 /// All ops operate on rank-2 tensors unless stated otherwise; rank-1 tensors
 /// are accepted where noted and treated as a single row.
+///
+/// A Graph built with GradMode::kNoGrad is an inference-only forward pass:
+/// ops compute the same values bitwise, but no node requires a gradient and
+/// no backward closure is recorded, and `Param` refers to the parameter's
+/// value instead of copying it — so the parameter must not change while
+/// the graph is alive. Calling Backward on it is a checked error.
+enum class GradMode { kRecord, kNoGrad };
+
 class Graph {
  public:
   Graph() = default;
+  explicit Graph(GradMode mode) : mode_(mode) {}
 
   // Graphs hold closures over internal state; they are neither copyable nor
   // movable.
@@ -54,7 +63,8 @@ class Graph {
   NodeId Input(Tensor value);
 
   /// Parameter leaf: gradients reaching this node accumulate into `p->grad`.
-  /// `p` must outlive the graph.
+  /// `p` must outlive the graph. A recording graph snapshots `p->value`; a
+  /// no-grad graph refers to it.
   NodeId Param(Parameter* p);
 
   // ---- Linear algebra -----------------------------------------------------
@@ -144,24 +154,30 @@ class Graph {
 
   /// Runs reverse-mode accumulation from `loss`, which must hold exactly one
   /// element. Parameter gradients are *added* to each Parameter::grad.
+  /// Requires a recording graph.
   void Backward(NodeId loss);
 
  private:
   struct Node {
     Tensor value;
+    const Tensor* ref = nullptr;  // A no-grad Param's value, not copied.
     Tensor grad;  // allocated lazily in Backward
     bool requires_grad = false;
     std::function<void(Graph*)> backward;  // null for constants
   };
 
-  NodeId AddNode(Tensor value, bool requires_grad,
-                 std::function<void(Graph*)> backward);
+  /// Appends a node. `backward` (a callable or nullptr) is converted to a
+  /// std::function only when the node requires a gradient, which a no-grad
+  /// graph's nodes never do.
+  template <typename Fn>
+  NodeId AddNode(Tensor value, bool requires_grad, Fn&& backward);
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
   /// Grad tensor of `id`, allocated (zeroed) on first access.
   Tensor& MutableGrad(NodeId id);
   bool RequiresGrad(NodeId id) const { return node(id).requires_grad; }
 
+  GradMode mode_ = GradMode::kRecord;
   std::vector<Node> nodes_;
 };
 

@@ -1,13 +1,60 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "base/check.h"
 
 namespace sdea::tmath {
 namespace {
+
+// Scalar exact-mode row-range kernels. Every output element accumulates
+// its k products in double, ascending k, with no term skipped, and is
+// rounded to float once. The i-k-j kernel keeps one row of double
+// accumulators in a per-thread buffer that is reused across calls, so a
+// call allocates nothing once the buffer has grown to the widest row.
+double* RowAccumulators(int64_t n) {
+  thread_local std::vector<double> acc;
+  if (static_cast<int64_t>(acc.size()) < n) acc.resize(static_cast<size_t>(n));
+  return acc.data();
+}
+
+// c[i,:] = sum_kk A(i,kk) * b[kk,:] with A(i,kk) = a[i*sa_i + kk*sa_k].
+void MatmulStridedExactScalar(const float* a, int64_t sa_i, int64_t sa_k,
+                              const float* b, float* c, int64_t k, int64_t n,
+                              int64_t i_begin, int64_t i_end) {
+  double* acc = RowAccumulators(n);
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    std::fill(acc, acc + n, 0.0);
+    const float* arow = a + i * sa_i;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const double aik = arow[kk * sa_k];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) acc[j] += aik * brow[j];
+    }
+    float* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) crow[j] = static_cast<float>(acc[j]);
+  }
+}
+
+void MatmulTransposeBRowsExactScalar(const float* a, const float* b, float* c,
+                                     int64_t k, int64_t n, int64_t i_begin,
+                                     int64_t i_end) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    const float* arow = a + i * k;
+    for (int64_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      double s = 0.0;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        s += static_cast<double>(arow[kk]) * brow[kk];
+      }
+      c[i * n + j] = static_cast<float>(s);
+    }
+  }
+}
 
 // Scalar fast-mode dot: four independent float accumulators (ILP without
 // changing the tree per element count), combined low-to-high at the end.
@@ -134,6 +181,12 @@ std::atomic<KernelMode>& KernelModeFlag() {
 // Implemented in kernels_avx2.cc, the only TU compiled with -mavx2 -mfma.
 // Never called unless CPUID reported AVX2+FMA (see dispatch below).
 namespace kernels {
+void MatmulStridedExactAvx2(const float* a, int64_t sa_i, int64_t sa_k,
+                            const float* b, float* c, int64_t k, int64_t n,
+                            int64_t i_begin, int64_t i_end);
+void MatmulTransposeBRowsExactAvx2(const float* a, const float* b, float* c,
+                                   int64_t k, int64_t n, int64_t i_begin,
+                                   int64_t i_end);
 float DotFastAvx2(const float* a, const float* b, int64_t d);
 void MatmulRowsFastAvx2(const float* a, const float* b, float* c, int64_t k,
                         int64_t n, int64_t i_begin, int64_t i_end);
@@ -203,6 +256,42 @@ double DotExact(const float* a, const float* b, int64_t d) {
     s += static_cast<double>(a[i]) * b[i];
   }
   return s;
+}
+
+void MatmulRowsExact(const float* a, const float* b, float* c, int64_t k,
+                     int64_t n, int64_t i_begin, int64_t i_end) {
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    MatmulStridedExactAvx2(a, k, 1, b, c, k, n, i_begin, i_end);
+    return;
+  }
+#endif
+  MatmulStridedExactScalar(a, k, 1, b, c, k, n, i_begin, i_end);
+}
+
+void MatmulTransposeBRowsExact(const float* a, const float* b, float* c,
+                               int64_t k, int64_t n, int64_t i_begin,
+                               int64_t i_end) {
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    MatmulTransposeBRowsExactAvx2(a, b, c, k, n, i_begin, i_end);
+    return;
+  }
+#endif
+  MatmulTransposeBRowsExactScalar(a, b, c, k, n, i_begin, i_end);
+}
+
+void MatmulTransposeARowsExact(const float* a, const float* b, float* c,
+                               int64_t k, int64_t m, int64_t n,
+                               int64_t i_begin, int64_t i_end) {
+  // A(i,kk) = a[kk*m + i]: column i of the stored [k, m] operand.
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    MatmulStridedExactAvx2(a, 1, m, b, c, k, n, i_begin, i_end);
+    return;
+  }
+#endif
+  MatmulStridedExactScalar(a, 1, m, b, c, k, n, i_begin, i_end);
 }
 
 float DotFast(const float* a, const float* b, int64_t d) {

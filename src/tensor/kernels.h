@@ -5,12 +5,15 @@
 
 namespace sdea::tmath {
 
-/// Instruction set the fast-mode kernels run with. Resolved once at startup
+/// Instruction set the matmul kernels run with. Resolved once at startup
 /// from the SDEA_SIMD environment variable ("off"/"scalar" force the
 /// portable path, "avx2" forces AVX2, anything else / unset auto-detects
 /// via CPUID) and overridable per-process with SetSimdLevel (tests,
-/// benches). Exact-mode kernels are scalar by construction, so the level
-/// only affects fast mode.
+/// benches). In exact mode the level changes only the speed: the AVX2
+/// exact kernels run every output element through the same operation
+/// sequence as the scalar ones, so results are bitwise identical at both
+/// levels. In fast mode the level changes the rounding too (see
+/// KernelMode).
 enum class SimdLevel {
   kScalar = 0,  ///< Portable C++; compiled into every build.
   kAvx2 = 1,    ///< AVX2+FMA intrinsics; used only when CPUID reports both.
@@ -84,9 +87,35 @@ float DotFast(const float* a, const float* b, int64_t d);
 /// path in BOTH modes. Exact mode rounds DotExact to float once.
 float ScoreDot(const float* a, const float* b, int64_t d);
 
-/// Fast-mode row-range matmuls, mirroring the exact kernels in tensor.cc.
-/// Each writes output rows [i_begin, i_end) only, so callers shard rows
-/// across threads with bitwise-stable results for a fixed SimdLevel.
+/// Exact-mode row-range matmuls, dispatched on ActiveSimdLevel(). Every
+/// output element accumulates its k products in double, ascending k, and
+/// is rounded to float once; the AVX2 variants keep one double accumulator
+/// per lane and use a separate multiply and add (never an FMA), so both
+/// levels agree bitwise on every machine. Each writes output rows
+/// [i_begin, i_end) only, so callers shard rows across threads with
+/// bitwise-identical results for every thread count.
+
+/// c[i,:] = a[i,:] @ b for a [m,k], b [k,n].
+void MatmulRowsExact(const float* a, const float* b, float* c, int64_t k,
+                     int64_t n, int64_t i_begin, int64_t i_end);
+
+/// c[i,j] = a[i,:] . b[j,:] for a [m,k], b [n,k]. The AVX2 variant packs
+/// b into column panels once per call, so a call with few rows still reads
+/// b once; a caller sharding rows should give each call at least
+/// kExactTransposeBMinRows rows so the packing stays small next to the
+/// product.
+constexpr int64_t kExactTransposeBMinRows = 16;
+void MatmulTransposeBRowsExact(const float* a, const float* b, float* c,
+                               int64_t k, int64_t n, int64_t i_begin,
+                               int64_t i_end);
+
+/// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n].
+void MatmulTransposeARowsExact(const float* a, const float* b, float* c,
+                               int64_t k, int64_t m, int64_t n,
+                               int64_t i_begin, int64_t i_end);
+
+/// Fast-mode row-range matmuls, mirroring the exact kernels above with the
+/// same row-range contract (bitwise-stable for a fixed SimdLevel).
 
 /// c[i,:] = a[i,:] @ b for a [m,k], b [k,n]; i-k-j order, j vectorized.
 void MatmulRowsFast(const float* a, const float* b, float* c, int64_t k,

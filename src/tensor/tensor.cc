@@ -139,71 +139,12 @@ std::string Tensor::DebugString() const {
 }
 
 namespace tmath {
-namespace {
 
-// Row-range kernels behind the three matmul variants. Each computes output
-// rows [i_begin, i_end) under the shared accumulation policy (tensor.h):
-// every output element accumulates its k products in double, in ascending-k
-// order, with no term skipped, and rounds to float once. The parallel path
-// shards rows across threads and the serial path is the single shard
-// [0, m), so both execute this exact code and agree bitwise.
-
-// c[i,:] = a[i,:] @ b for a [m,k], b [k,n]; k-j inner order streams b rows.
-void MatmulRowRange(const float* pa, const float* pb, float* pc, int64_t k,
-                    int64_t n, int64_t i_begin, int64_t i_end) {
-  std::vector<double> acc(static_cast<size_t>(n));
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    const float* arow = pa + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double aik = arow[kk];
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += aik * brow[j];
-    }
-    float* crow = pc + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
-    }
-  }
-}
-
-// c[i,j] = a[i,:] . b[j,:] for a [m,k], b [n,k].
-void MatmulTransposeBRowRange(const float* pa, const float* pb, float* pc,
-                              int64_t k, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* arow = pa + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double s = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        s += static_cast<double>(arow[kk]) * brow[kk];
-      }
-      pc[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n]; a is read column-wise.
-void MatmulTransposeARowRange(const float* pa, const float* pb, float* pc,
-                              int64_t k, int64_t m, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
-  std::vector<double> acc(static_cast<size_t>(n));
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double aik = pa[kk * m + i];
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += aik * brow[j];
-    }
-    float* crow = pc + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
-    }
-  }
-}
-
-}  // namespace
+// The row-range kernels behind the three matmul variants live in
+// kernels.cc. Each computes output rows [i_begin, i_end) under the active
+// KernelMode; the parallel path shards rows across threads and the serial
+// path is the single shard [0, m), so both run the same code and agree
+// bitwise.
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
   SDEA_CHECK_EQ(a.rank(), 2);
@@ -220,7 +161,8 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
                       if (fast) {
                         kernels::MatmulRowsFast(pa, pb, pc, k, n, begin, end);
                       } else {
-                        MatmulRowRange(pa, pb, pc, k, n, begin, end);
+                        kernels::MatmulRowsExact(pa, pb, pc, k, n, begin,
+                                                 end);
                       }
                     });
   return c;
@@ -236,13 +178,21 @@ Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   float* pc = c.data();
   const bool fast = ActiveKernelMode() == KernelMode::kFast;
-  base::ParallelFor(m, base::GrainForWork(m, k * n),
+  // The exact kernel packs b once per row range, so each shard gets enough
+  // rows to amortize that pass. Rows are independent: the sharding never
+  // changes the bits.
+  const int64_t grain =
+      fast ? base::GrainForWork(m, k * n)
+           : std::max(base::GrainForWork(m, k * n),
+                      kernels::kExactTransposeBMinRows);
+  base::ParallelFor(m, grain,
                     [&](int64_t begin, int64_t end) {
                       if (fast) {
                         kernels::MatmulTransposeBRowsFast(pa, pb, pc, k, n,
                                                           begin, end);
                       } else {
-                        MatmulTransposeBRowRange(pa, pb, pc, k, n, begin, end);
+                        kernels::MatmulTransposeBRowsExact(pa, pb, pc, k, n,
+                                                           begin, end);
                       }
                     });
   return c;
@@ -264,8 +214,8 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
                         kernels::MatmulTransposeARowsFast(pa, pb, pc, k, m, n,
                                                           begin, end);
                       } else {
-                        MatmulTransposeARowRange(pa, pb, pc, k, m, n, begin,
-                                                 end);
+                        kernels::MatmulTransposeARowsExact(pa, pb, pc, k, m,
+                                                           n, begin, end);
                       }
                     });
   return c;

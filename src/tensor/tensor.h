@@ -125,7 +125,8 @@ class Tensor {
 /// either operand propagates per IEEE semantics), and is rounded to float
 /// exactly once at the end. The variants therefore agree bitwise on
 /// transposed views of the same operands, e.g. Matmul(a, b) ==
-/// MatmulTransposeB(a, Transpose(b)).
+/// MatmulTransposeB(a, Transpose(b)), and at every SimdLevel (the AVX2
+/// exact kernels vectorize across output elements, never within one).
 ///
 /// FAST mode (opt-in via tmath::SetKernelMode or SDEA_KERNEL_MODE=fast)
 /// dispatches to the cache-blocked, SIMD-vectorized float32 kernels in

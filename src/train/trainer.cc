@@ -129,14 +129,22 @@ Status Trainer::ApplyCheckpoint(const TrainerCheckpoint& ckpt) {
     }
     seen[id] = true;
   }
-  // Validate-before-mutate: the parameter blobs are checked against the
+  // Validate-before-mutate: both parameter blobs are checked against the
   // module before anything is touched, so a stale checkpoint from a
-  // different model shape leaves the task unmodified.
-  SDEA_RETURN_IF_ERROR(
-      nn::DeserializeParameters(task_->module(), ckpt.params));
+  // different model shape leaves the task unmodified. The optimizer state
+  // is the one remaining fallible step and is all-or-nothing itself, so it
+  // goes first; the parameter load after it cannot fail.
+  SDEA_RETURN_IF_ERROR(nn::CheckParameters(task_->module(), ckpt.params));
+  if (!ckpt.best_params.empty()) {
+    SDEA_RETURN_IF_ERROR(
+        nn::CheckParameters(task_->module(), ckpt.best_params));
+  }
   if (task_->optimizer() != nullptr && !ckpt.optimizer.empty()) {
     SDEA_RETURN_IF_ERROR(task_->optimizer()->DeserializeState(ckpt.optimizer));
   }
+  SDEA_RETURN_IF_ERROR(
+      nn::DeserializeParameters(task_->module(), ckpt.params));
+  task_->OnParametersLoaded();
   task_->rng()->LoadState(ckpt.rng);
   order_ = ckpt.order;
   epochs_run_ = ckpt.epochs_run;
@@ -181,6 +189,7 @@ Result<TrainStats> Trainer::Run() {
       // the task untouched.
       SDEA_RETURN_IF_ERROR(nn::DeserializeParameters(
           task_->module(), options_.warm_start_params));
+      task_->OnParametersLoaded();
     }
     if (options_.restore_best) {
       // Legacy loops snapshot the initial parameters before the first epoch,
@@ -275,6 +284,7 @@ Result<TrainStats> Trainer::Run() {
   if (options_.restore_best && !best_params_.empty()) {
     SDEA_RETURN_IF_ERROR(
         nn::DeserializeParameters(task_->module(), best_params_));
+    task_->OnParametersLoaded();
   }
   if (options_.checkpoint != nullptr) {
     // Final save is marked finished and records the post-restore params, so

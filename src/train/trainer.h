@@ -47,6 +47,11 @@ class TrainTask {
   virtual void OnEpochBegin(int64_t epoch) { (void)epoch; }
   virtual void OnEpochEnd(int64_t epoch) { (void)epoch; }
 
+  /// Called after the Trainer overwrote module()'s parameters (checkpoint
+  /// resume, warm start, best-params restore), so a task can drop anything
+  /// it derived from the old values.
+  virtual void OnParametersLoaded() {}
+
   /// Dev metric, higher is better (e.g. validation Hits@1). Called once per
   /// epoch when TrainerOptions::evaluate is set.
   virtual double EvalMetric() { return 0.0; }
@@ -137,6 +142,9 @@ class Trainer {
   const std::vector<double>& metric_history() const {
     return metric_history_;
   }
+  /// The example order the next epoch would shuffle from (what a
+  /// checkpoint records).
+  const std::vector<uint64_t>& order() const { return order_; }
 
  private:
   Status Validate() const;

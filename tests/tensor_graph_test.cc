@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "nn/gru.h"
+#include "nn/transformer.h"
 
 namespace sdea {
 namespace {
@@ -191,6 +195,62 @@ TEST(GraphTest, ChainedBackwardThroughMultipleOps) {
     }
   }
   EXPECT_GT(a.grad.AbsMax(), 0.0f);
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(GraphTest, NoGradTransformerForwardMatchesRecordedBitwise) {
+  // Shapes big enough to reach the SIMD column blocks and their tails.
+  nn::TransformerConfig c;
+  c.vocab_size = 50;
+  c.max_len = 24;
+  c.dim = 32;
+  c.num_heads = 4;
+  c.num_layers = 2;
+  c.ff_dim = 64;
+  c.dropout = 0.1f;
+  Rng rng(3);
+  nn::TransformerEncoder enc("t", c, &rng);
+  const std::vector<int64_t> ids = {1, 7, 3, 9, 42, 5, 11, 2, 8, 13, 21, 34,
+                                    4, 6, 17, 19, 23};
+  Graph recorded;
+  const NodeId want = enc.EncodeMean(&recorded, ids, /*training=*/false,
+                                     /*rng=*/nullptr);
+  Graph no_grad(GradMode::kNoGrad);
+  const NodeId got = enc.EncodeMean(&no_grad, ids, /*training=*/false,
+                                    /*rng=*/nullptr);
+  EXPECT_TRUE(BitwiseEqual(no_grad.Value(got), recorded.Value(want)));
+}
+
+TEST(GraphTest, NoGradBiGruForwardMatchesRecordedBitwise) {
+  Rng rng(4);
+  nn::BiGru gru("g", /*input_dim=*/32, /*hidden_dim=*/32, &rng);
+  const Tensor x = Tensor::RandomNormal({9, 32}, 1.0f, &rng);
+  Graph recorded;
+  const NodeId want = gru.Forward(&recorded, recorded.Input(x));
+  Graph no_grad(GradMode::kNoGrad);
+  const NodeId got = gru.Forward(&no_grad, no_grad.Input(x));
+  EXPECT_TRUE(BitwiseEqual(no_grad.Value(got), recorded.Value(want)));
+}
+
+TEST(GraphTest, NoGradParamRefersToTheParameter) {
+  Parameter p("p", Tensor({2}, {3, 4}));
+  Graph g(GradMode::kNoGrad);
+  const NodeId x = g.Param(&p);
+  EXPECT_EQ(&g.Value(x), &p.value);
+  const NodeId y = g.Scale(x, 2.0f);
+  EXPECT_EQ(g.Value(y)[1], 8.0f);
+}
+
+TEST(GraphTest, BackwardOnNoGradGraphIsACheckedError) {
+  Parameter p("p", Tensor({2}, {3, 4}));
+  Graph g(GradMode::kNoGrad);
+  const NodeId loss = g.SumAll(g.Param(&p));
+  EXPECT_DEATH(g.Backward(loss), "no-grad");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "base/threadpool.h"
@@ -231,6 +232,108 @@ TEST(KernelsTest, NanAndInfPropagateInBothModes) {
     EXPECT_TRUE(std::isnan(c[0 * 3 + 1])) << tmath::KernelModeName(mode);
     EXPECT_TRUE(std::isinf(c[1 * 3 + 1])) << tmath::KernelModeName(mode);
   }
+}
+
+// Same bits, or both NaN: NaN payloads and signs are not part of the
+// exact contract (which NaN an add returns depends on operand order).
+bool SameBitsOrBothNan(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+void ExpectSameBitsOrBothNan(const Tensor& got, const Tensor& want,
+                             const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  int64_t bad = 0;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    if (!SameBitsOrBothNan(got[i], want[i]) && bad++ < 3) {
+      ADD_FAILURE() << what << " element " << i << ": " << got[i]
+                    << " != " << want[i];
+    }
+  }
+  EXPECT_EQ(bad, 0) << what;
+}
+
+// Operands for one exact-kernel case. With `specials`, a sprinkling of
+// NaN, +-Inf and -0.0 replaces random entries of both operands.
+MatmulCase MakeSpecialCase(int64_t m, int64_t k, int64_t n, uint64_t seed,
+                           bool specials) {
+  MatmulCase c = MakeCase(m, k, n, seed);
+  if (specials) {
+    Rng rng(seed ^ 0x5bd1e995ULL);
+    const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f};
+    for (Tensor* t : {&c.a, &c.b}) {
+      for (int64_t i = 0; i < t->size(); ++i) {
+        if (rng.UniformInt(16) == 0) (*t)[i] = kSpecial[rng.UniformInt(4)];
+      }
+    }
+    c.bt = tmath::Transpose(c.b);
+    c.at = tmath::Transpose(c.a);
+  }
+  return c;
+}
+
+// The three exact products of one case at the active level and pool.
+std::vector<Tensor> ExactProducts(const MatmulCase& c) {
+  return {tmath::Matmul(c.a, c.b), tmath::MatmulTransposeA(c.at, c.b),
+          tmath::MatmulTransposeB(c.a, c.bt)};
+}
+
+TEST(KernelsTest, ExactAvx2MatchesExactScalarBitwise) {
+  // The AVX2 exact kernels run each output element through the scalar
+  // exact kernel's operation sequence, so both levels must agree bit for
+  // bit on every shape, on every special value and at every thread count.
+  // The zoo covers n mod 16 and n mod 4 tails (the packed ragged block),
+  // k in {0, 1}, m = 1, the strided MatmulTransposeA path and the packed
+  // MatmulTransposeB path; the large cases are sharded by the 4-thread
+  // pool.
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA unavailable";
+  ScopedKernelMode mode(KernelMode::kExact);
+  struct Shape {
+    int64_t m, k, n;
+  };
+  std::vector<Shape> zoo;
+  for (int64_t n : {1, 2, 3, 4, 5, 7, 8, 12, 13, 15, 16, 17, 19, 20, 31, 32,
+                    33, 47, 48, 64, 65}) {
+    for (int64_t k : {0, 1, 2, 7, 32, 33}) {
+      for (int64_t m : {1, 2, 3, 5}) zoo.push_back({m, k, n});
+    }
+  }
+  zoo.push_back({32, 32, 64});   // Transformer feed-forward shape.
+  zoo.push_back({1, 32, 32});    // One GRU step.
+  zoo.push_back({300, 33, 37});  // Sharded across the pool.
+  zoo.push_back({1, 64, 1000});  // One query against many rows.
+  zoo.push_back({257, 64, 203});
+  const char* kOps[] = {"Matmul", "MatmulTransposeA", "MatmulTransposeB"};
+  uint64_t seed = 100;
+  for (const Shape& s : zoo) {
+    for (bool specials : {false, true}) {
+      const MatmulCase c = MakeSpecialCase(s.m, s.k, s.n, ++seed, specials);
+      std::vector<Tensor> want;
+      {
+        ScopedSimdLevel simd(SimdLevel::kScalar);
+        base::ThreadPool::SetGlobalNumThreads(1);
+        want = ExactProducts(c);
+      }
+      for (int threads : {1, 4}) {
+        ScopedSimdLevel simd(SimdLevel::kAvx2);
+        base::ThreadPool::SetGlobalNumThreads(threads);
+        const std::vector<Tensor> got = ExactProducts(c);
+        for (size_t op = 0; op < got.size(); ++op) {
+          ExpectSameBitsOrBothNan(
+              got[op], want[op],
+              std::string(kOps[op]) + " m=" + std::to_string(s.m) +
+                  " k=" + std::to_string(s.k) + " n=" + std::to_string(s.n) +
+                  " specials=" + std::to_string(specials) +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+  base::ThreadPool::SetGlobalNumThreads(base::ThreadPool::DefaultNumThreads());
 }
 
 TEST(KernelsTest, DispatchReportsAndPinsLevels) {

@@ -287,5 +287,59 @@ TEST(CheckpointTest, ResumeRejectsOrderThatIsNotAPermutation) {
   }
 }
 
+TEST(CheckpointTest, ResumeWithCorruptOptimizerStateChangesNothing) {
+  // The parameter blob is valid and differs from the task's; the optimizer
+  // blob is corrupt. The resume must fail before restoring anything:
+  // parameters, Adam state, RNG and the trainer's order stay bitwise as
+  // they were.
+  const std::string path = TempPath("sdea_ckpt_bad_optimizer.ckpt");
+  std::remove(path.c_str());
+  // Two epochs first, so the Adam moments and the RNG are not fresh.
+  TrainerOptions warm = WalkOptions();
+  warm.max_epochs = 2;
+  WalkTask task(/*seed=*/5);
+  WalkTask twin(/*seed=*/5);
+  ASSERT_TRUE(Trainer(&task, warm).Run().ok());
+  ASSERT_TRUE(Trainer(&twin, warm).Run().ok());
+  const std::string params_before = nn::SerializeParameters(&task.net_);
+  std::string optimizer_before;
+  task.optimizer_->SerializeState(&optimizer_before);
+  const RngState rng_before = task.rng()->SaveState();
+
+  WalkNet donor;
+  donor.w->value[0] = 1.5f;
+  TrainerCheckpoint ckpt;
+  ckpt.next_epoch = 1;
+  ckpt.order = {5, 4, 3, 2, 1, 0};
+  ckpt.rng = Rng(99).SaveState();
+  ckpt.params = nn::SerializeParameters(&donor);
+  ckpt.optimizer = "not an optimizer state";
+  CheckpointManager mgr(path);
+  ASSERT_TRUE(mgr.Save(ckpt).ok());
+  TrainerOptions opts = WalkOptions();
+  opts.checkpoint = &mgr;
+  Trainer resumed(&task, opts);
+  EXPECT_EQ(resumed.Run().status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(nn::SerializeParameters(&task.net_), params_before);
+  std::string optimizer_after;
+  task.optimizer_->SerializeState(&optimizer_after);
+  EXPECT_EQ(optimizer_after, optimizer_before);
+  const RngState rng_after = task.rng()->SaveState();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rng_after.s[i], rng_before.s[i]);
+  EXPECT_EQ(rng_after.has_cached_normal, rng_before.has_cached_normal);
+  EXPECT_EQ(rng_after.cached_normal, rng_before.cached_normal);
+  // A fresh Run starts from the identity order; the checkpoint's was not
+  // taken.
+  EXPECT_EQ(resumed.order(), (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
+  // Nothing else leaked either: training on from here matches the twin
+  // that never saw the checkpoint.
+  ASSERT_TRUE(Trainer(&task, warm).Run().ok());
+  ASSERT_TRUE(Trainer(&twin, warm).Run().ok());
+  EXPECT_EQ(nn::SerializeParameters(&task.net_),
+            nn::SerializeParameters(&twin.net_));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sdea::train
