@@ -107,7 +107,7 @@ void BM_AdcScanInt8(benchmark::State& state, KernelMode mode,
                     SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
   ScopedVariant variant(mode, level);
-  const int64_t n = state.range(0), d = 128;
+  const int64_t n = state.range(0), d = state.range(1);
   const Tensor rows = RandomRows(n, d, 3);
   const store::Codebook cb = store::Codebook::TrainInt8(rows);
   const std::vector<uint8_t> codes = cb.EncodeRows(rows.data(), n);
@@ -121,21 +121,29 @@ void BM_AdcScanInt8(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * n * d);
 }
-BENCHMARK_CAPTURE(BM_AdcScanInt8, exact, KernelMode::kExact,
+// {rows, dim}: d=32 is the serving snapshot's shape, d=128 a wider one.
+BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
+BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2)
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 BENCHMARK_CAPTURE(BM_AdcScanInt8, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 BENCHMARK_CAPTURE(BM_AdcScanInt8, fast_avx2, KernelMode::kFast,
                   SimdLevel::kAvx2)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 
 void BM_AdcScanPq(benchmark::State& state, KernelMode mode,
                   SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
   ScopedVariant variant(mode, level);
-  const int64_t n = state.range(0), d = 128;
+  const int64_t n = state.range(0), d = state.range(1);
   const Tensor rows = RandomRows(n, d, 5);
   store::PqOptions options;
   options.num_subspaces = 16;
@@ -154,15 +162,24 @@ void BM_AdcScanPq(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * n * cb->pq_subspaces());
 }
-BENCHMARK_CAPTURE(BM_AdcScanPq, exact, KernelMode::kExact,
+// Same {rows, dim} pairs; the scan's cost depends on the subspace count
+// (16), not on d.
+BENCHMARK_CAPTURE(BM_AdcScanPq, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
+BENCHMARK_CAPTURE(BM_AdcScanPq, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2)
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 BENCHMARK_CAPTURE(BM_AdcScanPq, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 BENCHMARK_CAPTURE(BM_AdcScanPq, fast_avx2, KernelMode::kFast,
                   SimdLevel::kAvx2)
-    ->Arg(65536);
+    ->Args({65536, 32})
+    ->Args({65536, 128});
 
 void BM_StoreOpen(benchmark::State& state) {
   // The open-latency claim: only the manifest and the shard header pages

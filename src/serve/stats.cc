@@ -1,5 +1,6 @@
 #include "serve/stats.h"
 
+#include <atomic>
 #include <cstdio>
 #include <vector>
 
@@ -127,6 +128,7 @@ ServeStats::ServeStats(obs::MetricsRegistry* registry) {
 
 void ServeStats::RecordQuery(bool is_text) {
   queries_->Increment();
+  std::atomic_thread_fence(std::memory_order_release);  // See Snapshot().
   if (is_text) {
     text_queries_->Increment();
   } else {
@@ -141,6 +143,7 @@ void ServeStats::RecordNoMatch() { no_match_answers_->Increment(); }
 void ServeStats::RecordBatch(uint64_t batch_size) {
   batches_->Increment();
   batched_queries_->Increment(batch_size);
+  std::atomic_thread_fence(std::memory_order_release);  // See Snapshot().
   batch_size_hist_->Record(static_cast<double>(batch_size));
 }
 
@@ -161,18 +164,27 @@ void ServeStats::RecordLatency(Stage stage, int64_t micros) {
 
 StatsSnapshot ServeStats::Snapshot() const {
   StatsSnapshot snap;
-  snap.queries = queries_->Value();
+  // Parts are read before their wholes. RecordQuery counts a query before
+  // its kind and RecordBatch a batch's size before its histogram bucket,
+  // each with a release fence in between; with the acquire fence here, a
+  // part seen is a whole seen. So queries >= text_queries +
+  // embedding_queries, and every batch in the histogram has its size in
+  // batched_queries (mean_batch_size() >= 1). `batches` is the
+  // histogram's bucket total, so the two agree by construction.
   snap.text_queries = text_queries_->Value();
   snap.embedding_queries = embedding_queries_->Value();
+  const obs::Histogram batch_sizes = batch_size_hist_->Snapshot();
+  std::atomic_thread_fence(std::memory_order_acquire);
+  snap.queries = queries_->Value();
+  snap.batched_queries = batched_queries_->Value();
+  CopyBuckets(batch_sizes, &snap.batch_size_hist);
+  snap.batches = static_cast<uint64_t>(batch_sizes.count());
   snap.failed_queries = failed_queries_->Value();
   snap.no_match_answers = no_match_answers_->Value();
-  snap.batches = batches_->Value();
-  snap.batched_queries = batched_queries_->Value();
   snap.cache_hits = cache_hits_->Value();
   snap.cache_misses = cache_misses_->Value();
   snap.encoded_texts = encoded_texts_->Value();
   snap.snapshot_swaps = snapshot_swaps_->Value();
-  CopyBuckets(batch_size_hist_->Snapshot(), &snap.batch_size_hist);
   for (int s = 0; s < StatsSnapshot::kNumStages; ++s) {
     CopyBuckets(latency_hist_[static_cast<size_t>(s)]->Snapshot(),
                 &snap.latency_hist[static_cast<size_t>(s)]);

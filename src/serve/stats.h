@@ -30,7 +30,8 @@ struct StatsSnapshot {
   /// snapshot swap is the signal that the new embeddings moved under the
   /// calibrated threshold.
   uint64_t no_match_answers = 0;
-  uint64_t batches = 0;            ///< Dispatched batches (incl. failed).
+  /// Dispatched batches (incl. failed): the total of batch_size_hist.
+  uint64_t batches = 0;
   uint64_t batched_queries = 0;    ///< Sum of batch sizes.
   uint64_t cache_hits = 0;         ///< Text lookups served from the cache.
   uint64_t cache_misses = 0;       ///< Text lookups that needed encoding.
@@ -58,7 +59,12 @@ struct StatsSnapshot {
 /// loads, so the stats path never takes a lock and never serializes
 /// request threads. Snapshot() is therefore not a single consistent cut
 /// across counters — concurrent increments may be half-visible — the
-/// usual (and documented) monitoring-counter trade-off.
+/// usual (and documented) monitoring-counter trade-off. Two relations do
+/// hold in every snapshot: `batches` is the total of the batch-size
+/// histogram it copies (the "serve.batches" counter is still kept for
+/// exporters), and a part is never ahead of its whole: queries >=
+/// text_queries + embedding_queries, and batched_queries covers every
+/// batch in the histogram.
 class ServeStats {
  public:
   enum class Stage { kEncode = 0, kSearch = 1, kTotal = 2 };

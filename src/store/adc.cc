@@ -4,6 +4,39 @@
 #include "tensor/kernels.h"
 
 namespace sdea::store {
+namespace {
+
+// The scalar scans over rows [begin, n), finishing what an AVX2 kernel
+// left. With Acc = double they define exact mode's contract: double
+// accumulator, ascending j (or s), rounded to float once per row.
+template <typename Acc>
+void Int8Rows(const uint8_t* codes, int64_t begin, int64_t n, int64_t d,
+              const float* q_scaled, float* out) {
+  for (int64_t i = begin; i < n; ++i) {
+    const uint8_t* code = codes + i * d;
+    Acc acc = 0;
+    for (int64_t j = 0; j < d; ++j) {
+      acc += static_cast<Acc>(q_scaled[j]) *
+             static_cast<Acc>(static_cast<int8_t>(code[j]));
+    }
+    out[i] = static_cast<float>(acc);
+  }
+}
+
+template <typename Acc>
+void PqRows(const uint8_t* codes, int64_t begin, int64_t n, int64_t m,
+            int64_t k, const float* lut, float* out) {
+  for (int64_t i = begin; i < n; ++i) {
+    const uint8_t* code = codes + i * m;
+    Acc acc = 0;
+    for (int64_t s = 0; s < m; ++s) {
+      acc += static_cast<Acc>(lut[s * k + static_cast<int64_t>(code[s])]);
+    }
+    out[i] = static_cast<float>(acc);
+  }
+}
+
+}  // namespace
 
 void Int8PrepareQuery(const float* q, const float* scales, int64_t d,
                       float* q_scaled) {
@@ -12,32 +45,21 @@ void Int8PrepareQuery(const float* q, const float* scales, int64_t d,
 
 void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
                  const float* q_scaled, float* out) {
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    // Exact contract: double accumulator, ascending-j, rounded once.
-    for (int64_t i = 0; i < n; ++i) {
-      const uint8_t* code = codes + i * d;
-      double acc = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        acc += static_cast<double>(q_scaled[j]) *
-               static_cast<double>(static_cast<int8_t>(code[j]));
-      }
-      out[i] = static_cast<float>(acc);
-    }
-    return;
-  }
+  const bool exact = tmath::ActiveKernelMode() == tmath::KernelMode::kExact;
+  int64_t done = 0;
 #ifdef SDEA_HAVE_AVX2_TU
   if (tmath::ActiveSimdLevel() == tmath::SimdLevel::kAvx2) {
-    internal::AdcScanInt8Avx2(codes, n, d, q_scaled, out);
-    return;
+    if (!exact) {
+      internal::AdcScanInt8Avx2(codes, n, d, q_scaled, out);
+      return;
+    }
+    done = internal::AdcScanInt8ExactAvx2(codes, n, d, q_scaled, out);
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) {
-    const uint8_t* code = codes + i * d;
-    float acc = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      acc += q_scaled[j] * static_cast<float>(static_cast<int8_t>(code[j]));
-    }
-    out[i] = acc;
+  if (exact) {
+    Int8Rows<double>(codes, done, n, d, q_scaled, out);
+  } else {
+    Int8Rows<float>(codes, done, n, d, q_scaled, out);
   }
 }
 
@@ -58,31 +80,18 @@ void PqBuildLut(const float* q, const Codebook& codebook, float* lut) {
 
 void AdcScanPq(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
                const float* lut, float* out) {
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    for (int64_t i = 0; i < n; ++i) {
-      const uint8_t* code = codes + i * m;
-      double acc = 0.0;
-      for (int64_t s = 0; s < m; ++s) {
-        acc += static_cast<double>(
-            lut[s * k + static_cast<int64_t>(code[s])]);
-      }
-      out[i] = static_cast<float>(acc);
-    }
-    return;
-  }
+  const bool exact = tmath::ActiveKernelMode() == tmath::KernelMode::kExact;
+  int64_t done = 0;
 #ifdef SDEA_HAVE_AVX2_TU
   if (tmath::ActiveSimdLevel() == tmath::SimdLevel::kAvx2) {
-    internal::AdcScanPqAvx2(codes, n, m, k, lut, out);
-    return;
+    done = exact ? internal::AdcScanPqExactAvx2(codes, n, m, k, lut, out)
+                 : internal::AdcScanPqAvx2(codes, n, m, k, lut, out);
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) {
-    const uint8_t* code = codes + i * m;
-    float acc = 0.0f;
-    for (int64_t s = 0; s < m; ++s) {
-      acc += lut[s * k + static_cast<int64_t>(code[s])];
-    }
-    out[i] = acc;
+  if (exact) {
+    PqRows<double>(codes, done, n, m, k, lut, out);
+  } else {
+    PqRows<float>(codes, done, n, m, k, lut, out);
   }
 }
 

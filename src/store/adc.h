@@ -10,16 +10,20 @@ namespace sdea::store {
 /// Asymmetric distance computation: the query stays full-precision, the
 /// database rows stay compressed, and the scan scores codes directly —
 /// no row is ever decompressed. Both scans dispatch like the tensor
-/// kernels do:
+/// kernels do, on the kernel mode and on tmath::ActiveSimdLevel():
 ///
 ///   - kExact mode accumulates in double, ascending, rounded to float
 ///     once per row — bitwise identical on every machine and SIMD level
-///     (matching kernels::DotExact's contract).
-///   - kFast mode accumulates in float; the int8 scan additionally
-///     dispatches on tmath::ActiveSimdLevel() to an AVX2 TU whose fixed
-///     reduction tree differs from scalar by O(d*eps), same as DotFast.
-///     The PQ scan's AVX2 path vectorizes ACROSS rows (one lane per row,
-///     subspaces ascending per lane), so it is bitwise identical to the
+///     (matching kernels::DotExact's contract). At kAvx2 both scans run an
+///     AVX2 kernel that vectorizes ACROSS rows: each lane is one row's
+///     double accumulator and sees the scalar loop's exact operation
+///     sequence (one multiply, then one add, per code for int8; one
+///     widened LUT add per subspace for PQ). Rows that do not fill a
+///     whole block finish in the scalar loop.
+///   - kFast mode accumulates in float. At kAvx2 the int8 scan reduces
+///     each row with a fixed FMA tree that differs from scalar by
+///     O(d*eps), same as DotFast; the PQ scan uses the across-rows layout
+///     (subspaces ascending per lane), so it is bitwise identical to the
 ///     scalar fast path.
 ///
 /// Like the kernels, the scans are serial over their row range; callers
@@ -52,11 +56,17 @@ void AdcScanPq(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
 namespace internal {
 
 /// AVX2 TU entry points (store/adc_avx2.cc); only called when runtime
-/// dispatch confirmed AVX2+FMA support. Fast-mode contracts above.
+/// dispatch confirmed AVX2+FMA support. Contracts above. The exact
+/// kernels and the PQ fast kernel write a prefix of whole row blocks and
+/// return its length; the caller's scalar loop scores the rest.
+int64_t AdcScanInt8ExactAvx2(const uint8_t* codes, int64_t n, int64_t d,
+                             const float* q_scaled, float* out);
 void AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
                      const float* q_scaled, float* out);
-void AdcScanPqAvx2(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
-                   const float* lut, float* out);
+int64_t AdcScanPqExactAvx2(const uint8_t* codes, int64_t n, int64_t m,
+                           int64_t k, const float* lut, float* out);
+int64_t AdcScanPqAvx2(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
+                      const float* lut, float* out);
 
 }  // namespace internal
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 
@@ -234,9 +235,11 @@ std::vector<int64_t> QuantizedStore::Candidates(const Tensor& query,
   Tensor q({1, dim()});
   q.SetRow(0, query);
   tmath::L2NormalizeRowsInPlace(&q);
-  std::vector<float> scores(static_cast<size_t>(total_rows_));
-  AdcScanAll(q.data(), scores.data());
-  return tmath::TopK(scores.data(), total_rows_, pool);
+  // AdcScanAll writes every slot, so the buffer is left uninitialised.
+  const auto scores = std::make_unique_for_overwrite<float[]>(
+      static_cast<size_t>(total_rows_));
+  AdcScanAll(q.data(), scores.get());
+  return tmath::TopK(scores.get(), total_rows_, pool);
 }
 
 std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
@@ -254,8 +257,9 @@ std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
   tmath::L2NormalizeRowsInPlace(&q);
 
   const auto adc_start = std::chrono::steady_clock::now();
-  std::vector<float> scores(static_cast<size_t>(total_rows_));
-  AdcScanAll(q.data(), scores.data());
+  const auto scores = std::make_unique_for_overwrite<float[]>(
+      static_cast<size_t>(total_rows_));
+  AdcScanAll(q.data(), scores.get());
 
   const bool rerank = options.rerank && manifest_.store_full_precision;
   const int64_t pool =
@@ -265,7 +269,7 @@ std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
                                            : std::max<int64_t>(4 * k, k + 16))
              : k;
   const std::vector<int64_t> survivors =
-      tmath::TopK(scores.data(), total_rows_, pool);
+      tmath::TopK(scores.get(), total_rows_, pool);
   metrics.adc_us->Record(ElapsedUs(adc_start));
 
   std::vector<Neighbor> out;

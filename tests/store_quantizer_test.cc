@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,28 @@
 
 namespace sdea::store {
 namespace {
+
+using tmath::KernelMode;
+using tmath::SimdLevel;
+
+// Pins the kernel mode and SIMD level for one scope.
+class ScopedVariant {
+ public:
+  ScopedVariant(KernelMode mode, SimdLevel level)
+      : saved_mode_(tmath::ActiveKernelMode()),
+        saved_level_(tmath::ActiveSimdLevel()) {
+    tmath::SetKernelMode(mode);
+    tmath::SetSimdLevel(level);
+  }
+  ~ScopedVariant() {
+    tmath::SetKernelMode(saved_mode_);
+    tmath::SetSimdLevel(saved_level_);
+  }
+
+ private:
+  KernelMode saved_mode_;
+  SimdLevel saved_level_;
+};
 
 Tensor RandomRows(int64_t n, int64_t d, uint64_t seed) {
   Tensor t({n, d});
@@ -118,6 +143,145 @@ TEST(QuantizerTest, PqAdcScoreTracksExactDot) {
         tmath::kernels::ScoreDot(q.data(), rows.data() + i * d, d);
     EXPECT_NEAR(adc[static_cast<size_t>(i)], exact, 0.5f) << "row " << i;
   }
+}
+
+// ---- ADC scans at both SIMD levels ----------------------------------------
+
+bool SameBitsOrBothNan(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// Query (or LUT) flavours for the bitwise zoo: plain values; plain values
+// with a sprinkling of +-0, +-Inf and NaN; 1e30-scale values; denormals;
+// and plain values between a +2^40 and a -2^40 term that cancel exactly.
+// Every int8 product and every widened LUT float is exact in double, and
+// a row's sum of plain terms rounds far below float precision, so only
+// the cancelling flavour makes a summation order show in the float
+// result: the plain terms are rounded onto the 2^40 term's grid, and
+// which of them are depends on the order.
+enum class Flavour { kPlain, kSpecials, kHuge, kDenormal, kCancel };
+constexpr Flavour kFlavours[] = {Flavour::kPlain, Flavour::kSpecials,
+                                 Flavour::kHuge, Flavour::kDenormal,
+                                 Flavour::kCancel};
+constexpr float kCancelTerm = 1099511627776.0f;  // 2^40.
+
+std::vector<float> ZooFloats(int64_t count, Flavour flavour, uint64_t seed) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kSpecial[] = {0.0f, -0.0f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(seed);
+  std::vector<float> v(static_cast<size_t>(count));
+  for (float& x : v) {
+    x = rng.UniformFloat(-1.0f, 1.0f);
+    switch (flavour) {
+      case Flavour::kPlain:
+      case Flavour::kCancel:
+        break;
+      case Flavour::kSpecials:
+        if (rng.UniformInt(8) == 0) x = kSpecial[rng.UniformInt(5)];
+        break;
+      case Flavour::kHuge:
+        x *= 3e30f;
+        break;
+      case Flavour::kDenormal:
+        x *= 1e-39f;
+        break;
+    }
+  }
+  return v;
+}
+
+// Random code bytes, a quarter of them at 0x80, 0x7f or 0x00 (int8 -128,
+// 127 and 0).
+std::vector<uint8_t> ZooCodes(int64_t count, uint64_t seed) {
+  const uint8_t kEdge[] = {0x80, 0x7f, 0x00};
+  Rng rng(seed);
+  std::vector<uint8_t> v(static_cast<size_t>(count));
+  for (uint8_t& c : v) {
+    c = rng.UniformInt(4) == 0 ? kEdge[rng.UniformInt(3)]
+                               : static_cast<uint8_t>(rng.UniformInt(256));
+  }
+  return v;
+}
+
+// Row counts around the AVX2 scans' eight-row groups, plus the empty and
+// one-row scans.
+constexpr int64_t kZooRows[] = {0, 1, 3, 4, 5, 7, 9, 15, 17, 21, 23, 67};
+constexpr int64_t kZooWidths[] = {1, 7, 8, 9, 31, 32, 33, 128};
+
+enum class Scan { kInt8, kPq };
+
+// Scores every zoo case at `mode` with the scalar and the AVX2 level and
+// expects the same bits (NaN compared as NaN-ness). For PQ the width is
+// the subspace count m and the LUT has k = 256 entries per subspace.
+void ExpectAvx2MatchesScalarBitwise(Scan scan, KernelMode mode) {
+  constexpr int64_t kPqCentroids = 256;
+  uint64_t seed = 500;
+  for (const int64_t width : kZooWidths) {
+    for (const int64_t n : kZooRows) {
+      for (const Flavour flavour : kFlavours) {
+        std::vector<uint8_t> codes = ZooCodes(n * width, ++seed);
+        const int64_t table =
+            scan == Scan::kInt8 ? width : width * kPqCentroids;
+        std::vector<float> q = ZooFloats(table, flavour, ++seed);
+        if (flavour == Flavour::kCancel && width >= 2) {
+          // +2^40 scores first and -2^40 last in every row: the int8 query
+          // weights columns 0 and width-1 by them and each row repeats its
+          // first code last; the PQ table gives them to every centroid of
+          // the first and the last subspace.
+          const int64_t k = scan == Scan::kInt8 ? 1 : kPqCentroids;
+          std::fill(q.begin(), q.begin() + k, kCancelTerm);
+          std::fill(q.end() - k, q.end(), -kCancelTerm);
+          if (scan == Scan::kInt8) {
+            for (int64_t i = 0; i < n; ++i) {
+              codes[static_cast<size_t>(i * width + width - 1)] =
+                  codes[static_cast<size_t>(i * width)];
+            }
+          }
+        }
+        std::vector<float> want(static_cast<size_t>(n));
+        std::vector<float> got(static_cast<size_t>(n));
+        for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+          ScopedVariant variant(mode, level);
+          float* out = level == SimdLevel::kScalar ? want.data() : got.data();
+          if (scan == Scan::kInt8) {
+            AdcScanInt8(codes.data(), n, width, q.data(), out);
+          } else {
+            AdcScanPq(codes.data(), n, width, kPqCentroids, q.data(), out);
+          }
+        }
+        int64_t bad = 0;
+        for (int64_t i = 0; i < n; ++i) {
+          const size_t r = static_cast<size_t>(i);
+          if (!SameBitsOrBothNan(got[r], want[r]) && bad++ < 3) {
+            ADD_FAILURE() << (scan == Scan::kInt8 ? "int8" : "pq")
+                          << " width=" << width << " n=" << n
+                          << " flavour=" << static_cast<int>(flavour)
+                          << " row " << i << ": avx2 " << got[r]
+                          << " != scalar " << want[r];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizerTest, ExactAvx2AdcMatchesExactScalarBitwise) {
+  // Exact mode's AVX2 scans give each row its own double lane and the
+  // scalar loop's operation sequence, so both levels agree bit for bit
+  // on every width, every ragged row count and every special value.
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA unavailable";
+  ExpectAvx2MatchesScalarBitwise(Scan::kInt8, KernelMode::kExact);
+  ExpectAvx2MatchesScalarBitwise(Scan::kPq, KernelMode::kExact);
+}
+
+TEST(QuantizerTest, PqFastAvx2MatchesFastScalarBitwise) {
+  // The fast PQ scan adds each row's LUT floats in ascending s at both
+  // levels (one lane per row at AVX2), so it is bitwise level-independent
+  // too; the fast int8 scan is not (its AVX2 reduction tree differs).
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA unavailable";
+  ExpectAvx2MatchesScalarBitwise(Scan::kPq, KernelMode::kFast);
 }
 
 TEST(QuantizerTest, CodebookBytesIdenticalAcrossThreadCounts) {
